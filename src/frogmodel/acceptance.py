@@ -206,7 +206,7 @@ def _crit_lattice_chain():
 
 
 # ---------------------------------------------------------------------------
-# 5. the two wake samplers agree in law
+# 5. the two threshold samplers agree in law, through one solver
 
 
 _C5_CFG = SolverConfig(dx=0.02, dt=4e-3, n_snapshots=0, pad_left=1.0,
@@ -564,7 +564,7 @@ CRITERIA = (
               "finite chain jumps at the leftmost dormant site with the right laws",
               _crit_lattice_chain),
     Criterion(5, "sampler-equivalence",
-              "preset-threshold and hazard-clock samplers agree on wake times",
+              "u/(1-u) and expm1(E) threshold samplers agree on wake times",
               _crit_sampler_equivalence),
     Criterion(6, "path-conservation",
               "total mass is conserved along every simulated path",

@@ -1,19 +1,23 @@
 """Continuous-space frog process: killed heat flow feeding a moving pile.
 
 The awake density diffuses against an absorbing edge at the leftmost dormant
-pile; absorbed mass joins that pile (``y``).  A pile wakes when its absorbed
-feed reaches a threshold, at which point the whole grown pile re-enters the
-awake density as a point mass at the pile position and the edge advances to
-the next pile.  Two exchangeable wake rules are provided:
+pile; absorbed mass joins that pile (``y``).  A pile wakes the instant its
+absorbed feed reaches its threshold (exact >=), at which point the pile plus
+its threshold re-enters the awake density as a point mass at the pile
+position and the edge advances to the next pile.  A pile whose threshold is
+at least the awake mass available to it can never wake: the cascade stalls
+there.
 
-* space-driven: thresholds are given up front (one per pile), a pile wakes
-  the instant its absorbed feed reaches its threshold (exact >=);
-* hazard-driven: the wake time is sampled from the instantaneous rate
-  boundary_flux / y via an Exp(1) clock and trapezoid accumulation.
+There is one wake rule and two ways to supply the thresholds:
 
-Both produce the same law of the event sequence when the space-driven
-thresholds follow the wake-threshold law; that equivalence is verified
-statistically, not assumed.
+* ``simulate_space_driven`` takes them up front, one per pile;
+* ``simulate_hazard_driven`` wakes pile i at rate (absorption rate) / y,
+  whose integral is log(y / x_i), via an Exp(1) clock E; it rings when the
+  feed reaches ``x_i * expm1(E)``, and that threshold is drawn when the
+  front reaches pile i.
+
+Both give P[W > r] = x / (x + r), the wake-threshold law; the acceptance
+battery checks that the two samplers agree in law through the solver.
 
 Bookkeeping is exact where the acceptance checks need it to be: the running
 available-mass accumulator uses the same floating-point operations as
@@ -68,7 +72,7 @@ class EventRecord:
     time: float
     site: float
     jump_size: float
-    v: float          # absorbed feed at the wake instant (jump_size - x_i)
+    v: float          # wake threshold: the absorbed feed, up to the event tolerance
     index: int
 
 
@@ -151,85 +155,28 @@ def extract_L(events, piles: AtomicMeasure) -> PointPattern:
     return PointPattern(zs, rs)
 
 
-class _SpaceRule:
-    """Wake when absorbed feed reaches the pile's preset threshold (exact >=)."""
-
-    kind = "space"
-
-    def __init__(self, thresholds):
-        self.ws = [float(w) for w in thresholds]
-        if any(w <= 0 for w in self.ws):
-            raise ValueError("thresholds must be positive")
-        self.w = math.nan
-
-    def arrive(self, index: int, x_i: float, avail: float) -> bool:
-        self.w = self.ws[index]
-        return self.w >= avail  # stall: this pile can never wake
-
-    def crossed(self, fed, f0, f1, y0, y1, dt) -> bool:
-        return fed >= self.w
-
-    def overshoot_at(self, fed_s, s, flux_s, x_i) -> bool:
-        return fed_s >= self.w
-
-    def wake_value(self, fed: float) -> float:
-        # report the intended threshold; the bisection residual stays killed
-        return self.w
-
-    def commit_step(self, fed, f0, f1, y0, y1, dt) -> None:
-        pass
-
-
-class _HazardRule:
-    """Wake at rate boundary_flux / y, via an Exp(1) clock per pile.
-
-    The hazard integral is accumulated in the absorbed-mass variable: over
-    one step, int flux/y dt = int dK/(x_i + K) = log(y_after / y_before),
-    exact because y grows by exactly the killed mass.  Time quadrature is
-    unusable here: the flux spikes like 1/sqrt(t) whenever awake density
-    sits against the pile, and a trapezoid in t overweights that spike.
-    """
-
-    kind = "hazard"
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.e = math.inf
-        self.acc = 0.0
-        self._y0 = 1.0
-
-    def arrive(self, index: int, x_i: float, avail: float) -> bool:
-        self.e = float(self.rng.exponential())
-        self.acc = 0.0
-        return False  # the clock never declares a stall
-
-    def crossed(self, fed, f0, f1, y0, y1, dt) -> bool:
-        self._y0 = y0
-        return self.acc + math.log(y1 / y0) >= self.e
-
-    def overshoot_at(self, fed_s, s, flux_s, x_i) -> bool:
-        return self.acc + math.log((x_i + fed_s) / self._y0) >= self.e
-
-    def wake_value(self, fed: float) -> float:
-        return fed  # the absorbed feed itself is the jump excess
-
-    def commit_step(self, fed, f0, f1, y0, y1, dt) -> None:
-        self.acc += math.log(y1 / y0)
-
-
 def simulate_space_driven(x1_0: GridDensity, piles: AtomicMeasure, thresholds,
                           horizon: float, cfg: SolverConfig = SolverConfig()) -> FrogResult:
     """Deterministic run with one preset wake threshold per pile."""
-    ws = list(thresholds)
+    ws = [float(w) for w in thresholds]
     if len(ws) != len(piles.positions):
         raise ValueError("one threshold per pile is required")
-    return _simulate(x1_0, piles, horizon, cfg, _SpaceRule(ws))
+    if any(w <= 0 for w in ws):
+        raise ValueError("thresholds must be positive")
+    return _simulate(x1_0, piles, horizon, cfg, ws.__getitem__)
 
 
 def simulate_hazard_driven(x1_0: GridDensity, piles: AtomicMeasure, rng,
                            horizon: float, cfg: SolverConfig = SolverConfig()) -> FrogResult:
-    """Wake times sampled from the boundary-flux hazard (one Exp(1) per pile)."""
-    return _simulate(x1_0, piles, horizon, cfg, _HazardRule(rng))
+    """Wake at rate (absorption rate) / y, with one Exp(1) clock E per pile.
+
+    The hazard integrates to log(y / x_i), so the clock rings when the
+    absorbed feed reaches ``x_i * expm1(E)``; that threshold is drawn when
+    the front reaches pile i, one draw per reached pile, in pile order.
+    """
+    masses = [float(x) for x in piles.masses]
+    return _simulate(x1_0, piles, horizon, cfg,
+                     lambda i: masses[i] * math.expm1(float(rng.exponential())))
 
 
 def _build_heat(x1_0: GridDensity, piles: AtomicMeasure, cfg: SolverConfig) -> KilledHeatFlow:
@@ -248,7 +195,11 @@ def _build_heat(x1_0: GridDensity, piles: AtomicMeasure, cfg: SolverConfig) -> K
     return heat
 
 
-def _simulate(x1_0, piles, horizon, cfg, rule) -> FrogResult:
+def _simulate(x1_0, piles, horizon, cfg, threshold) -> FrogResult:
+    """Run the barrier process; ``threshold(i)`` is pile i's wake threshold.
+
+    ``threshold`` is called once per pile, when the front reaches it.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if math.isinf(horizon) and cfg.run_to_horizon:
@@ -274,9 +225,9 @@ def _simulate(x1_0, piles, horizon, cfg, rule) -> FrogResult:
     ell = positions[0]
     avail = initial_x1          # exact accumulator shared with compute_ustar
     killed_at_pile = 0.0
+    w = math.nan                # threshold of pile i
     stall_position = None
     woke_all = False
-    stalled = False
 
     def untouched() -> float:
         return float(math.fsum(masses[i + 1:])) if i < n_piles else 0.0
@@ -292,90 +243,85 @@ def _simulate(x1_0, piles, horizon, cfg, rule) -> FrogResult:
             snapshot()
             snap_pos += 1
 
+    def reach() -> bool:
+        """Draw pile i's threshold; True when the pile can never wake."""
+        nonlocal w, stall_position
+        w = threshold(i)
+        if not w > 0:
+            raise ValueError("thresholds must be positive")
+        if w >= avail:
+            stall_position = positions[i]
+            return True
+        return False
+
     emit_due_snapshots()  # t = 0
-    if rule.arrive(0, masses[0], avail):
-        stalled = True
-        stall_position = positions[0]
-        if not cfg.run_to_horizon:
-            return _finish(heat, piles, y, i, ell, events, snaps, stall_position,
-                           woke_all, positions, total_0, stalled)
+    if reach() and not cfg.run_to_horizon:
+        return _finish(heat, piles, y, i, ell, events, snaps, stall_position,
+                       woke_all, positions, total_0)
 
     dt_cur = cfg.dt
     while heat.time < horizon - 1e-12:
         dt_step = min(dt_cur, horizon - heat.time)
-        armed = (i < n_piles) and not stalled
+        armed = i < n_piles and stall_position is None
         if armed:
             saved_vals = heat.values.copy()
             saved_killed = heat.killed_cum
             saved_time = heat.time
-            f0 = heat.boundary_flux()
-            y0 = y
         heat.step(dt_step)
-        if armed:
-            fed = heat.killed_cum - killed_at_pile
-            f1 = heat.boundary_flux()
-            y1 = masses[i] + fed
-            if rule.crossed(fed, f0, f1, y0, y1, dt_step):
-                # rewind and localize the wake instant inside the step
-                heat.values[:] = saved_vals
-                heat.killed_cum = saved_killed
-                heat.time = saved_time
-                fed_base = saved_killed - killed_at_pile
-                lo, hi = 0.0, dt_step
-                while hi - lo > EVENT_TIME_TOL * dt_step:
-                    mid = 0.5 * (lo + hi)
-                    k_mid, flux_mid = heat.peek(mid)
-                    if rule.overshoot_at(fed_base + k_mid, mid, flux_mid, masses[i]):
-                        hi = mid
-                    else:
-                        lo = mid
-                heat.step(hi)
-                fed = heat.killed_cum - killed_at_pile
-                y = masses[i] + fed  # pile value at the wake instant
-                emit_due_snapshots()
-                v = rule.wake_value(fed)
-                jump = masses[i] + v
-                events.append(EventRecord(heat.time, positions[i], jump, v, i))
-                heat.inject_atom(positions[i], jump, single_cell=True)
-                heat.flush_pending()
-                avail += masses[i]
-                i += 1
-                if i < n_piles:
-                    heat.set_barrier(positions[i])
-                    ell = positions[i]
-                    y = masses[i]
-                    killed_at_pile = heat.killed_cum
-                    if rule.arrive(i, masses[i], avail):
-                        stalled = True
-                        stall_position = positions[i]
-                        if not cfg.run_to_horizon:
-                            break
-                else:
-                    woke_all = True
-                    heat.clear_barrier()
-                    y = 0.0
-                    if not cfg.run_to_horizon:
-                        break
-                snapshot()  # one snapshot per event, post-wake
-                dt_cur = cfg.dt
-                continue
-            rule.commit_step(fed, f0, f1, y0, y1, dt_step)
-            y = y1
-        elif i < n_piles:
+        if i < n_piles:
             y = masses[i] + (heat.killed_cum - killed_at_pile)
+        if armed and heat.killed_cum - killed_at_pile >= w:
+            # rewind and localize the wake instant inside the step
+            heat.values[:] = saved_vals
+            heat.killed_cum = saved_killed
+            heat.time = saved_time
+            fed_base = saved_killed - killed_at_pile
+            lo, hi = 0.0, dt_step
+            while hi - lo > EVENT_TIME_TOL * dt_step:
+                mid = 0.5 * (lo + hi)
+                if fed_base + heat.peek(mid) >= w:
+                    hi = mid
+                else:
+                    lo = mid
+            heat.step(hi)
+            y = masses[i] + (heat.killed_cum - killed_at_pile)  # at the wake instant
+            emit_due_snapshots()
+            # the pile wakes with its threshold; the bisection residual stays killed
+            jump = masses[i] + w
+            events.append(EventRecord(heat.time, positions[i], jump, w, i))
+            heat.inject_atom(positions[i], jump, single_cell=True)
+            heat.flush_pending()
+            avail += masses[i]
+            i += 1
+            if i < n_piles:
+                heat.set_barrier(positions[i])
+                ell = positions[i]
+                y = masses[i]
+                killed_at_pile = heat.killed_cum
+                if reach() and not cfg.run_to_horizon:
+                    break
+            else:
+                woke_all = True
+                heat.clear_barrier()
+                y = 0.0
+                if not cfg.run_to_horizon:
+                    break
+            snapshot()  # one snapshot per event, post-wake
+            dt_cur = cfg.dt
+            continue
         emit_due_snapshots()
         if cfg.grow_dt:
             dt_cur = min(dt_cur * 2.0, cfg.dt * cfg.dt_max_factor)
     return _finish(heat, piles, y, i, ell, events, snaps, stall_position,
-                   woke_all, positions, total_0, stalled)
+                   woke_all, positions, total_0)
 
 
 def _finish(heat, piles, y, i, ell, events, snaps, stall_position, woke_all,
-            positions, total_0, stalled) -> FrogResult:
+            positions, total_0) -> FrogResult:
     remaining = AtomicMeasure(piles.positions[i + 1:], piles.masses[i + 1:]) \
         if i < len(positions) else AtomicMeasure([], [])
     final = FrogState(heat, remaining, y, i, heat.time, ell)
-    if stalled:
+    if stall_position is not None:
         ustar = stall_position
     elif woke_all:
         ustar = positions[-1]

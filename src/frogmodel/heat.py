@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .measures import AtomicMeasure, GridDensity, HybridMeasure
+from .measures import GridDensity
 
 __all__ = ["KilledHeatFlow", "survival_mass_analytic", "normal_cdf"]
 
@@ -105,13 +105,6 @@ class KilledHeatFlow:
 
     def density(self) -> GridDensity:
         return GridDensity(self.left, self.dx, self.values)
-
-    def state_measure(self) -> HybridMeasure:
-        atoms = AtomicMeasure([z for z, _, _ in self._pending], [m for _, m, _ in self._pending])
-        return HybridMeasure(self.density(), atoms)
-
-    def reset_killed(self) -> None:
-        self.killed_cum = 0.0
 
     def boundary_flux(self) -> float:
         """Instantaneous absorption rate at the barrier (mass per unit time)."""
@@ -205,17 +198,10 @@ class KilledHeatFlow:
         """Deposit queued atoms now instead of at the next step."""
         self._deposit_pending()
 
-    def peek(self, dt: float) -> tuple[float, float]:
-        """(killed mass, post-step boundary flux) of a trial step; state unchanged."""
+    def peek(self, dt: float) -> float:
+        """Killed mass of a trial step of size ``dt``; state unchanged."""
         self._deposit_pending()
-        new, killed = self._solve(dt)
-        if self._barrier_index is None:
-            return killed, 0.0
-        return killed, float(new[self._barrier_index - 1]) / self.dx
-
-    def peek_killed(self, dt: float) -> float:
-        """Killed mass of a hypothetical step of size ``dt`` (state unchanged)."""
-        return self.peek(dt)[0]
+        return self._solve(dt)[1]
 
     def step(self, dt: float) -> float:
         """Advance by ``dt``; returns (and accumulates) the killed mass."""

@@ -72,9 +72,6 @@ class SiteSystem:
         nrm = self.norm()
         return 0.01 if nrm == 0 else min(0.01, 0.1 / nrm)
 
-    def index_of(self, site) -> int:
-        return self.sites.index(site)
-
     @classmethod
     def nearest_neighbor_chain(cls, labels, rate: float = 1.0) -> "SiteSystem":
         """Reflecting rate-``rate`` walk on a path graph."""

@@ -238,11 +238,6 @@ class PointPattern:
     def __iter__(self):
         return iter(zip(self.zs.tolist(), self.rs.tolist()))
 
-    def in_window(self, z_lo: float, z_hi: float) -> "PointPattern":
-        """Points with z in [z_lo, z_hi)."""
-        keep = (self.zs >= z_lo) & (self.zs < z_hi)
-        return PointPattern(self.zs[keep], self.rs[keep], self.r_min)
-
 
 Measure = AtomicMeasure | GridDensity | HybridMeasure
 

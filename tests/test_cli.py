@@ -1,10 +1,15 @@
 """Config handling, seeding, and command line artifact contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frogmodel
 from frogmodel.cli import main
 from frogmodel.runio import (
     ConfigError,
@@ -173,6 +178,34 @@ def test_simulate_bytes_identical_across_threads_and_reruns(tmp_path):
                       if p.is_file() and p.name != "manifest.json"})
     assert blobs[0] == blobs[1] == blobs[2]
     assert "events.jsonl" in blobs[0]
+
+
+def test_simulate_reports_ustar_of_stalled_replicas(tmp_path):
+    # little awake mass: every replica stalls at a pile before the horizon
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"x1": {
+        "kind": "uniform", "left": -0.5, "right": 0.0, "mass": 0.2}}}))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", path, "--eta", 0.1, "--seed", 2,
+               "--replicas", 4, "--horizon", 0.3, "--snapshots", 2,
+               "--out-dir", out) == 0
+    header, rows = read_csv_rows(only_run_dir(out) / "summary.csv")
+    col = {name: j for j, name in enumerate(header)}
+    assert len(rows) == 4
+    for row in rows:
+        assert row[col["woke_all"]] == "False"
+        # the stall is at the first pile that did not wake (piles at 0.1, 0.2, ...)
+        n_events = int(row[col["n_events"]])
+        assert float(row[col["ustar"]]) == pytest.approx(0.1 * (n_events + 1))
+    assert {r[col["n_events"]] for r in rows} == {"0", "1"}
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(frogmodel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, frogmodel.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------

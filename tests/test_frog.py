@@ -13,6 +13,7 @@ from frogmodel.frog import (SolverConfig, compute_ustar, extract_L,
                             wake_threshold)
 from frogmodel.heat import survival_mass_analytic
 from frogmodel.measures import AtomicMeasure, GridDensity
+from frogmodel.runio import replica_rng
 from frogmodel.stats import ks_one_sample, ks_two_sample
 
 
@@ -199,6 +200,37 @@ def test_samplers_agree_on_wake_time_law():
     for j, label in ((0, "first wake"), (1, "second wake")):
         rep = ks_two_sample(t_space[:, j], t_haz[:, j], alpha=1e-3, name=label)
         assert rep.passed, rep
+
+
+def test_hazard_run_is_space_run_with_expm1_thresholds():
+    """The Exp(1) clock is the threshold x*expm1(E): identical event records."""
+    x1 = GridDensity.uniform(-0.5, 0.0, 1.0, 0.02)
+    piles = AtomicMeasure((0.0, 0.1, 0.3), (0.4, 0.3, 0.5))
+    cfg = SolverConfig(dx=0.02, dt=2e-3, pad_left=2.0, pad_right=0.3,
+                       n_snapshots=8)
+    outcomes = set()
+    for s in range(16):
+        hazard = simulate_hazard_driven(x1, piles, np.random.default_rng(s), 1.5, cfg)
+        rng = np.random.default_rng(s)
+        ws = [float(x) * math.expm1(float(rng.exponential())) for x in piles.masses]
+        space = simulate_space_driven(x1, piles, ws, 1.5, cfg)
+        assert hazard.events == space.events
+        assert hazard.snapshots == space.snapshots
+        assert (hazard.ustar, hazard.stall_position, hazard.woke_all) == \
+               (space.ustar, space.stall_position, space.woke_all)
+        outcomes.add(len(hazard.events))
+    assert len(outcomes) >= 3  # stalls at several piles and full cascades
+
+
+def test_hazard_run_stops_at_stall_on_unbounded_horizon():
+    """A clock that can never ring is a stall, so an unbounded run returns."""
+    x1 = GridDensity.uniform(-0.5, 0.0, 0.01, 0.05)
+    piles = AtomicMeasure((0.05,), (1.0,))
+    cfg = SolverConfig(dx=0.05, dt=2e-3, grow_dt=True, run_to_horizon=False)
+    res = simulate_hazard_driven(x1, piles, replica_rng(1, 0), math.inf, cfg)
+    assert res.events == ()
+    assert res.stall_position == 0.05 and res.ustar == 0.05
+    assert not res.woke_all and res.final.time == 0.0
 
 
 def test_conservation_and_path_shape():

@@ -155,7 +155,7 @@ def test_peek_matches_committed_step():
     f.inject_atom(-0.4, 1.0)
     f.step(0.01)
     before = f.values.copy()
-    peek = f.peek_killed(0.037)
+    peek = f.peek(0.037)
     assert np.array_equal(f.values, before)
     assert f.step(0.037) == peek
 

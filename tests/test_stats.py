@@ -4,26 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstwobign
 
 from frogmodel.stats import (
     TestReport,
     bonferroni,
-    kolmogorov_pvalue,
     ks_one_sample,
     ks_two_sample,
     martingale_drift,
     poisson_count_test,
 )
-
-
-def test_kolmogorov_series_against_scipy():
-    lams = np.linspace(0.3, 2.5, 45)
-    for lam in lams:
-        assert kolmogorov_pvalue(float(lam)) == pytest.approx(float(kstwobign.sf(lam)), abs=1e-10)
-    assert kolmogorov_pvalue(0.0) == 1.0
-    assert kolmogorov_pvalue(0.04) == 1.0
-    assert kolmogorov_pvalue(5.0) < 1e-20
 
 
 def test_ks_one_sample_exact_statistic():

@@ -2,11 +2,13 @@
 
 The awake density diffuses against an absorbing edge at the leftmost dormant
 pile; absorbed mass joins that pile (``y``).  A pile wakes the instant its
-absorbed feed reaches its threshold (exact >=), at which point the pile plus
-its threshold re-enters the awake density as a point mass at the pile
+absorbed feed reaches its threshold (exact >=), at which point the pile with
+all it absorbed re-enters the awake density as a point mass at the pile
 position and the edge advances to the next pile.  A pile whose threshold is
 at least the awake mass available to it can never wake: the cascade stalls
-there.
+there.  A threshold just below the available mass can still be out of reach
+of the floating-point feed; such a pile is woken once the grid holds less
+than the feed can register, and counted in ``FrogResult.forced_wakes``.
 
 There is one wake rule and two ways to supply the thresholds:
 
@@ -107,6 +109,7 @@ class FrogResult:
     woke_all: bool
     ustar: float | None           # stall position, or rightmost pile if all woke
     initial_mass: float
+    forced_wakes: int             # piles woken because the grid could not feed them
 
 
 def wake_threshold(ws, xs) -> float:
@@ -226,6 +229,7 @@ def _simulate(x1_0, piles, horizon, cfg, threshold) -> FrogResult:
     avail = initial_x1          # exact accumulator shared with compute_ustar
     killed_at_pile = 0.0
     w = math.nan                # threshold of pile i
+    forced_wakes = 0
     stall_position = None
     woke_all = False
 
@@ -257,7 +261,7 @@ def _simulate(x1_0, piles, horizon, cfg, threshold) -> FrogResult:
     emit_due_snapshots()  # t = 0
     if reach() and not cfg.run_to_horizon:
         return _finish(heat, piles, y, i, ell, events, snaps, stall_position,
-                       woke_all, positions, total_0)
+                       woke_all, positions, total_0, forced_wakes)
 
     dt_cur = cfg.dt
     while heat.time < horizon - 1e-12:
@@ -270,7 +274,8 @@ def _simulate(x1_0, piles, horizon, cfg, threshold) -> FrogResult:
         heat.step(dt_step)
         if i < n_piles:
             y = masses[i] + (heat.killed_cum - killed_at_pile)
-        if armed and heat.killed_cum - killed_at_pile >= w:
+        wake = armed and heat.killed_cum - killed_at_pile >= w
+        if wake:
             # rewind and localize the wake instant inside the step
             heat.values[:] = saved_vals
             heat.killed_cum = saved_killed
@@ -285,11 +290,17 @@ def _simulate(x1_0, piles, horizon, cfg, threshold) -> FrogResult:
                     lo = mid
             heat.step(hi)
             y = masses[i] + (heat.killed_cum - killed_at_pile)  # at the wake instant
+        elif armed and heat.killed_cum == saved_killed \
+                and heat.killed_cum + heat.total_mass() == heat.killed_cum:
+            # a step that fed nothing, on a grid holding less than the feed
+            # accumulator can register: the feed is final and below w, so
+            # wake the pile rather than spin
+            wake = True
+            forced_wakes += 1
+        if wake:
             emit_due_snapshots()
-            # the pile wakes with its threshold; the bisection residual stays killed
-            jump = masses[i] + w
-            events.append(EventRecord(heat.time, positions[i], jump, w, i))
-            heat.inject_atom(positions[i], jump, single_cell=True)
+            events.append(EventRecord(heat.time, positions[i], masses[i] + w, w, i))
+            heat.inject_atom(positions[i], y, single_cell=True)
             heat.flush_pending()
             avail += masses[i]
             i += 1
@@ -313,11 +324,11 @@ def _simulate(x1_0, piles, horizon, cfg, threshold) -> FrogResult:
         if cfg.grow_dt:
             dt_cur = min(dt_cur * 2.0, cfg.dt * cfg.dt_max_factor)
     return _finish(heat, piles, y, i, ell, events, snaps, stall_position,
-                   woke_all, positions, total_0)
+                   woke_all, positions, total_0, forced_wakes)
 
 
 def _finish(heat, piles, y, i, ell, events, snaps, stall_position, woke_all,
-            positions, total_0) -> FrogResult:
+            positions, total_0, forced_wakes) -> FrogResult:
     remaining = AtomicMeasure(piles.positions[i + 1:], piles.masses[i + 1:]) \
         if i < len(positions) else AtomicMeasure([], [])
     final = FrogState(heat, remaining, y, i, heat.time, ell)
@@ -328,4 +339,4 @@ def _finish(heat, piles, y, i, ell, events, snaps, stall_position, woke_all,
     else:
         ustar = None  # run was cut by the horizon before the cascade resolved
     return FrogResult(tuple(events), tuple(snaps), final, stall_position,
-                      woke_all, ustar, total_0)
+                      woke_all, ustar, total_0, forced_wakes)

@@ -1,19 +1,23 @@
-"""Finite-site model: ODE flow between wake-ups, hazard-driven jump times.
+"""Finite-site model: closed-form flow between wake-ups, log-hazard jump times.
 
 State splits into awake mass ``x1`` and dormant piles ``x2`` with
-``x1(k) * x2(k) = 0`` at every site.  Between jumps the awake mass flows by
-the adjoint generator, dormant piles absorb their incoming flux, and the next
-wake-up happens at the first time the accumulated total hazard
+``x1(k) * x2(k) = 0`` at every site.  Between jumps the dormant set is
+frozen: the awake mass flows by the adjoint generator, and each dormant pile
+absorbs its incoming flux, so the state at any time is one matrix
+exponential applied to the state at the last jump.
 
-    H_t = sum over dormant k of  (A* x1)_t(k) / x2_t(k)
+Site k wakes at rate (A* x1)(k) / x2(k), which is d/dt log x2(k) because the
+pile grows by exactly that flux.  The total hazard since the last jump at t0
+is therefore
 
-exceeds an Exp(1) draw.  A wake-up converts the whole grown pile to awake
-mass at that site.  The dormant set is constant between jumps: piles only
-grow, and a site's classification changes only at its own wake-up.
+    H_t = sum over dormant k of  log(x2_t(k) / x2_t0(k)),
 
-All integration runs on a fixed step grid anchored at the last jump time, so
-requesting trajectory snapshots never changes the event sequence (snapshots
-are dense sub-step evaluations off the main grid).
+the lattice form of the wake-threshold law P[W > r] = x / (x + r), and the
+next wake-up is at the root of H_t = E for an Exp(1) draw E.  A wake-up
+converts the whole grown pile to awake mass at that site.
+
+Every state, snapshots included, is evaluated in closed form at its own
+time, so requesting snapshots never changes the event sequence.
 """
 
 from __future__ import annotations
@@ -30,13 +34,11 @@ __all__ = [
     "JumpEvent",
     "MPSResult",
     "flow_between_jumps",
-    "next_jump",
     "apply_jump",
     "simulate_mps",
 ]
 
 PILE_FLOOR = 1e-14  # below this a fed pile is woken outright
-HAZARD_TOL = 1e-10  # bisection target on the accumulated hazard
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +66,6 @@ class SiteSystem:
     @property
     def n_sites(self) -> int:
         return len(self.sites)
-
-    def norm(self) -> float:
-        return float(np.max(np.sum(np.abs(self.q), axis=1)))
-
-    def step_size(self) -> float:
-        nrm = self.norm()
-        return 0.01 if nrm == 0 else min(0.01, 0.1 / nrm)
 
     @classmethod
     def nearest_neighbor_chain(cls, labels, rate: float = 1.0) -> "SiteSystem":
@@ -142,209 +137,133 @@ def apply_jump(state: MPSState, k_star: int) -> MPSState:
     return MPSState(x1, x2, state.time)
 
 
-class _Stepper:
-    """Fixed-mask integrator used by the public operations.
+class _FrozenFlow:
+    """Closed-form flow from ``state`` while its dormant set stays frozen.
 
-    The dormant mask is frozen at construction; the linear field is
-      du = (A* u) off the mask,   dv = (A* u) on the mask,
-    advanced by classical RK4.  ``dense(s)`` evaluates a partial step without
-    committing it, which serves both snapshotting and jump bisection.
+    With awake sites ``a`` and dormant sites ``d``, the awake mass ``u_a`` and
+    the feed ``g`` the dormant piles absorbed since ``state.time`` solve a
+    linear system with matrix ``M = [[qT_aa, 0], [qT_da, 0]]``, so at time
+    ``t0 + s`` ``(u_a, g) = expm(M s) @ (u_a(t0), 0)`` and the piles are
+    ``x2_d(t0) + g``.  The feed is tracked apart from the piles, and the
+    elapsed time ``s`` apart from ``t0``, so that the hazard
+    ``sum log1p(g / x2_d(t0))`` keeps full relative precision.
     """
 
     def __init__(self, sys: SiteSystem, state: MPSState):
-        self.qT = np.ascontiguousarray(sys.q.T)
-        self.mask = state.dormant_mask()
-        self._aw = (~self.mask).astype(float)
-        self._dm = self.mask.astype(float)
-        self._dormant_idx = [int(k) for k in np.nonzero(self.mask)[0]]
-        self.u = state.x1.astype(float).copy()
-        self.v = state.x2.astype(float).copy()
-        self.t = state.time
-        self.h = sys.step_size()
-        # piles only grow under the flow, so starvation can only be present
-        # at construction time
-        self.starve_possible = any(self.v[k] < PILE_FLOOR for k in self._dormant_idx)
+        mask = state.dormant_mask()
+        self.t0 = state.time
+        self.awake = np.flatnonzero(~mask)
+        self.dormant = np.flatnonzero(mask)
+        self.n_awake = self.awake.size
+        order = np.concatenate([self.awake, self.dormant])
+        self.m = np.zeros((mask.size, mask.size))
+        self.m[:, :self.n_awake] = sys.q.T[np.ix_(order, self.awake)]
+        self.inflow = self.m[self.n_awake:, :self.n_awake]
+        self.u0 = state.x1[self.awake]
+        self.v0 = state.x2[self.dormant]
 
-    def _rk4(self, u, v, h):
-        qT, aw = self.qT, self._aw
-        k1 = qT @ u
-        k2 = qT @ (u + (0.5 * h) * (k1 * aw))
-        k3 = qT @ (u + (0.5 * h) * (k2 * aw))
-        k4 = qT @ (u + h * (k3 * aw))
-        comb = (k1 + 2.0 * (k2 + k3) + k4) * (h / 6.0)
-        return u + comb * aw, v + comb * self._dm
+    def at(self, s: float):
+        """Awake mass on the awake sites and absorbed feed ``s`` after ``t0``."""
+        ug = expm(self.m * s)[:, :self.n_awake] @ self.u0
+        return ug[:self.n_awake], ug[self.n_awake:]
 
-    def hazard_parts(self, u, v):
-        flux = np.maximum(self.qT @ u, 0.0)
-        return np.where(self.mask & (v > 0), flux / np.where(v > 0, v, 1.0), 0.0)
+    def hazard(self, u, g):
+        """Total hazard since ``t0`` and its rate: sum log(v / v0), sum flux / v."""
+        return (float(np.sum(np.log1p(g / self.v0))),
+                float(np.sum((self.inflow @ u) / (self.v0 + g))))
 
-    def total_hazard(self, u, v) -> float:
-        flux = self.qT @ u
-        total = 0.0
-        for k in self._dormant_idx:
-            f = flux[k]
-            if f > 0.0 and v[k] > 0.0:
-                total += f / v[k]
-        return total
+    def state(self, t: float, u, g) -> MPSState:
+        x1 = np.zeros(self.m.shape[0])
+        x1[self.awake] = np.maximum(u, 0.0)  # expm rounding can leave -1e-17
+        x2 = np.zeros_like(x1)
+        x2[self.dormant] = self.v0 + g
+        return MPSState(x1, x2, t)
 
-    def dense(self, s: float):
-        """State s into the current step (not committed)."""
-        if s == 0.0:
-            return self.u.copy(), self.v.copy()
-        return self._rk4(self.u, self.v, s)
+    def state_at(self, t: float) -> MPSState:
+        return self.state(t, *self.at(t - self.t0))
 
-    def commit(self, s: float) -> None:
-        self.u, self.v = self._rk4(self.u, self.v, s)
-        self.t += s
+    def advance(self, e: float, horizon: float):
+        """``(state, jumped)``: the state where the hazard reaches ``e``, else at ``horizon``.
 
-    def starved_pile(self):
-        """Index of a fed pile that numerically vanished, if any."""
-        flux = self.qT @ self.u
-        bad = self.mask & (self.v < PILE_FLOOR) & (flux > 0)
-        idx = np.nonzero(bad)[0]
-        return int(idx[0]) if idx.size else None
-
-    def state(self) -> MPSState:
-        u = np.where(np.abs(self.u) < 1e-300, 0.0, self.u)
-        return MPSState(np.maximum(u, 0.0), self.v, self.t)
-
-
-def _advance(sys, state, t_end, e_target, record_times, snap_sink):
-    """Integrate the fixed-mask flow from ``state`` until ``t_end``.
-
-    If ``e_target`` is not None, stop early at the time the accumulated
-    hazard reaches it and return ``(state_at_jump, k_star)``; otherwise
-    return ``(state_at_t_end, None)``.  ``record_times`` inside the window
-    are evaluated densely and appended to ``snap_sink``.
-    """
-    st = _Stepper(sys, state)
-    records = iter(record_times)
-    next_rec = next(records, None)
-    while next_rec is not None and next_rec <= st.t:
-        next_rec = next(records, None)
-    if e_target is None and (not st.mask.any() or not st.u.any()):
-        # no hazard to track: either pure awake flow (exact propagator) or a
-        # standstill with only dormant piles
-        t, u = st.t, st.u.copy()
-        flows = bool(st.u.any())
-        while next_rec is not None and next_rec <= t_end:
-            if flows:
-                u = expm(st.qT * (next_rec - t)) @ u
-            snap_sink.append(MPSState(np.maximum(u, 0.0), st.v, next_rec))
-            t = next_rec
-            next_rec = next(records, None)
-        if flows and t_end > t:
-            u = expm(st.qT * (t_end - t)) @ u
-        return MPSState(np.maximum(u, 0.0), st.v, max(t_end, t)), None
-    acc = 0.0
-    h_rate0 = st.total_hazard(st.u, st.v)
-    while st.t < t_end - 1e-15:
-        if e_target is not None and st.starve_possible:
-            k_forced = st.starved_pile()
-            if k_forced is not None:
-                return st.state(), k_forced
-        h = min(st.h, t_end - st.t)
-        nu, nv = st.dense(h)
-        h_rate1 = st.total_hazard(nu, nv)
-        gain = 0.5 * h * (h_rate0 + h_rate1)
-        if e_target is not None and acc + gain >= e_target:
-            # locate the crossing inside this step
-            lo, hi = 0.0, h
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                mu, mv = st.dense(mid)
-                g = acc + 0.5 * mid * (h_rate0 + st.total_hazard(mu, mv)) - e_target
-                if abs(g) <= HAZARD_TOL or hi - lo < 1e-16 * max(1.0, h):
+        The hazard only grows, so one evaluation at the horizon decides
+        whether it reaches ``e``; the crossing is then found by Newton steps
+        from ``t0``, replaced by bisection whenever a step leaves the bracket.
+        """
+        lo, hi = 0.0, horizon - self.t0
+        u, g = self.at(hi)
+        if not self.hazard(u, g)[0] >= e:
+            return self.state(horizon, u, g), False
+        s, u, g = 0.0, self.u0, np.zeros(self.v0.size)
+        h, rate = self.hazard(u, g)
+        for _ in range(100):
+            step = (h - e) / rate if rate > 0 else math.inf
+            if abs(step) <= 4 * math.ulp(s):
+                break
+            s_new = s - step
+            if not lo < s_new < hi:
+                s_new = 0.5 * (lo + hi)
+                if s_new in (lo, hi):  # the bracket holds no float inside
                     break
-                if g < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            while next_rec is not None and next_rec <= st.t + mid:
-                su, sv = st.dense(next_rec - st.t)
-                snap_sink.append(MPSState(np.maximum(su, 0.0), sv, next_rec))
-                next_rec = next(records, None)
-            ju, jv = st.dense(mid)
-            rates = st.hazard_parts(ju, jv)
-            total = float(np.sum(rates))
-            if total <= 0:
-                k_star = int(np.argmax(jv))
+            s = s_new
+            u, g = self.at(s)
+            h, rate = self.hazard(u, g)
+            if h < e:
+                lo = s
             else:
-                k_star = None  # chosen by the caller's rng
-            st.commit(mid)
-            return st.state(), (k_star, rates)
-        while next_rec is not None and next_rec <= st.t + h:
-            su, sv = st.dense(next_rec - st.t)
-            snap_sink.append(MPSState(np.maximum(su, 0.0), sv, next_rec))
-            next_rec = next(records, None)
-        st.u, st.v = nu, nv
-        st.t += h
-        acc += gain
-        h_rate0 = h_rate1
-    return st.state(), None
+                hi = s
+        return self.state(min(self.t0 + s, horizon), u, g), True
 
 
-def _pick_site(hit, rng) -> int:
-    if isinstance(hit, tuple):
-        k_star, rates = hit
-        if k_star is not None:
-            return k_star
-        total = float(np.sum(rates))
-        k = int(np.searchsorted(np.cumsum(rates) / total, rng.random(), side="right"))
-        return min(k, rates.size - 1)
-    return hit
+def _jump_site(sys: SiteSystem, state: MPSState, rng) -> int:
+    """Dormant site to wake, drawn with probability proportional to flux / pile."""
+    mask = state.dormant_mask()
+    flux = sys.q.T @ state.x1
+    rates = np.where(mask, flux / np.where(mask, state.x2, 1.0), 0.0)
+    total = float(np.sum(rates))
+    if total <= 0:
+        return int(np.argmax(state.x2))
+    k = int(np.searchsorted(np.cumsum(rates) / total, rng.random(), side="right"))
+    return min(k, rates.size - 1)
 
 
 def flow_between_jumps(state: MPSState, sys: SiteSystem, dt: float) -> MPSState:
-    """Pure ODE flow for the current dormant set; no wake-ups occur."""
+    """Pure flow for the current dormant set; no wake-ups occur."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    if dt == 0:
-        return state
-    out, _ = _advance(sys, state, state.time + dt, None, (), [])
-    return out
-
-
-def next_jump(state: MPSState, sys: SiteSystem, rng, horizon: float):
-    """Sample the next wake-up before ``horizon``; ``(inf, None)`` if none.
-
-    Returns absolute time.  Consumes one Exp(1) draw, plus one uniform for
-    the site choice when a jump happens.
-    """
-    if not np.any(state.dormant_mask()):
-        return math.inf, None
-    if float(np.sum(state.x1)) == 0.0:
-        return math.inf, None
-    e = float(rng.exponential())
-    end, hit = _advance(sys, state, horizon, e, (), [])
-    if hit is None:
-        return math.inf, None
-    return end.time, _pick_site(hit, rng)
+    return _FrozenFlow(sys, state).state_at(state.time + dt)
 
 
 def simulate_mps(sys: SiteSystem, initial: MPSState, horizon: float, rng,
                  record_times=()) -> MPSResult:
-    """Run the event loop to ``horizon``; snapshots at ``record_times``."""
+    """Run the event loop to ``horizon``; snapshots at ``record_times``.
+
+    Each jump attempt consumes one Exp(1) draw, and each jump the hazard
+    triggers one uniform to choose its site.
+    """
+    if not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     if horizon <= initial.time:
         raise ValueError("horizon must exceed the initial time")
+    record_times = sorted(float(t) for t in record_times)
+    snaps = [initial for t in record_times if t == initial.time]
+    pending = [t for t in reversed(record_times) if initial.time < t <= horizon]
     state = initial
     events: list[JumpEvent] = []
-    snaps: list[MPSState] = []
-    record_times = tuple(sorted(float(t) for t in record_times))
-    for t in record_times:
-        if t == initial.time:
-            snaps.append(initial)
     while True:
-        remaining = [t for t in record_times if t > state.time]
-        if not np.any(state.dormant_mask()) or float(np.sum(state.x1)) == 0.0:
-            state, _ = _advance(sys, state, horizon, None, remaining, snaps)
-            break
-        e = float(rng.exponential())
-        state, hit = _advance(sys, state, horizon, e, remaining, snaps)
-        if hit is None:
-            break
-        k_star = _pick_site(hit, rng)
-        pile = float(state.x2[k_star])
-        events.append(JumpEvent(state.time, sys.sites[k_star], pile))
+        flow = _FrozenFlow(sys, state)
+        e, k_star = math.inf, None
+        if flow.dormant.size and float(np.sum(state.x1)) > 0.0:
+            e = float(rng.exponential())
+            starved = (flow.v0 < PILE_FLOOR) & (flow.inflow @ flow.u0 > 0)
+            if starved.any():
+                k_star = int(flow.dormant[np.argmax(starved)])
+        if k_star is None:
+            state, jumped = flow.advance(e, horizon)
+            while pending and pending[-1] <= state.time:
+                snaps.append(flow.state_at(pending.pop()))
+            if not jumped:
+                break
+            k_star = _jump_site(sys, state, rng)
+        events.append(JumpEvent(state.time, sys.sites[k_star], float(state.x2[k_star])))
         state = apply_jump(state, k_star)
     return MPSResult(tuple(events), tuple(snaps), state)

@@ -1,6 +1,8 @@
 """Tests for the continuous-space frog simulators."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from frogmodel.frog import (SolverConfig, compute_ustar, extract_L,
                             simulate_hazard_driven, simulate_space_driven,
                             wake_threshold)
 from frogmodel.heat import survival_mass_analytic
-from frogmodel.measures import AtomicMeasure, GridDensity
+from frogmodel.measures import AtomicMeasure, GridDensity, discretize_density
 from frogmodel.runio import replica_rng
 from frogmodel.stats import ks_one_sample, ks_two_sample
 
@@ -231,6 +233,79 @@ def test_hazard_run_stops_at_stall_on_unbounded_horizon():
     assert res.events == ()
     assert res.stall_position == 0.05 and res.ustar == 0.05
     assert not res.woke_all and res.final.time == 0.0
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_unbounded_run_wakes_a_pile_the_grid_cannot_feed():
+    """A threshold one ulp below the available mass: the grid can never
+    deliver it in floating point, so the pile is woken once the grid holds
+    less than the feed can register, instead of the run spinning forever."""
+    x1 = GridDensity.uniform(-0.5, 0.0, 0.3, 0.05)
+    piles = AtomicMeasure((0.05,), (0.4,))
+    w = math.nextafter(x1.total_mass(), 0.0)
+    for grow in (True, False):
+        cfg = SolverConfig(dx=0.05, dt=2e-3, n_snapshots=0, pad_left=0.5,
+                           pad_right=0.1, grow_dt=grow, run_to_horizon=False)
+        with _time_limit(30):
+            res = simulate_space_driven(x1, piles, [w], math.inf, cfg)
+        assert res.woke_all and res.forced_wakes == 1
+        assert res.events[0].v == w and res.events[0].jump_size == 0.4 + w
+    # two piles, the second threshold within 1e-12 of its available mass:
+    # it wakes by its feed once the wake re-injects everything absorbed
+    x1 = GridDensity.uniform(-0.5, 0.0, 0.6, 0.05)
+    piles = AtomicMeasure((0.1, 0.2), (0.3, 0.4))
+    cfg = SolverConfig(dx=0.05, dt=2e-3, n_snapshots=0, pad_left=0.5,
+                       pad_right=0.1, grow_dt=True, run_to_horizon=False)
+    with _time_limit(30):
+        res = simulate_space_driven(x1, piles, [0.2, 0.9 * (1 - 1e-12)], math.inf, cfg)
+    assert res.woke_all and res.forced_wakes == 0
+
+
+def test_wakes_conserve_mass_to_rounding():
+    """A wake re-injects the pile with all it absorbed, not with its threshold."""
+    x1 = GridDensity.uniform(-0.5, 0.0, 2.0, 0.01)
+    piles = discretize_density(GridDensity.uniform(0.0, 1.0, 1.0, 0.005), 0.05)
+    for grow in (False, True):
+        # run_to_horizon=False: free flow after the last wake, on grown steps,
+        # drifts by about 4e-12 through the backward-Euler solves
+        cfg = SolverConfig(dx=0.01, dt=2e-3, pad_left=0.6, pad_right=0.1,
+                           n_snapshots=8, grow_dt=grow, run_to_horizon=False)
+        n_events = 0
+        for s in range(10):
+            u = np.random.default_rng(s).random(len(piles.masses))
+            res = simulate_space_driven(x1, piles, sample_wake_threshold(piles.masses, u),
+                                        5.0, cfg)
+            n_events += len(res.events)
+            for row in res.snapshots:
+                assert abs(row.total_mass - res.initial_mass) <= 1e-13, (s, row)
+        assert n_events >= 100
+
+
+def test_forced_wake_never_fires_on_reachable_thresholds():
+    cfg = SolverConfig(dx=0.02, dt=4e-3, n_snapshots=0, pad_left=0.6,
+                       pad_right=0.1, grow_dt=True, run_to_horizon=False)
+    x1 = GridDensity.uniform(-0.5, 0.0, 0.5, cfg.dx)
+    piles = discretize_density(GridDensity.uniform(0.0, 1.0, 1.0, 0.005), 0.02)
+    n_events = 0
+    for k in range(6):
+        u = replica_rng(7001, k).random(len(piles.masses))
+        res = simulate_space_driven(x1, piles, sample_wake_threshold(piles.masses, u),
+                                    math.inf, cfg)
+        assert res.forced_wakes == 0
+        n_events += len(res.events)
+    assert n_events >= 20
 
 
 def test_conservation_and_path_shape():

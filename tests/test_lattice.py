@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from frogmodel.colony import threshold_cdf
 from frogmodel.lattice import (
@@ -11,7 +13,6 @@ from frogmodel.lattice import (
     SiteSystem,
     apply_jump,
     flow_between_jumps,
-    next_jump,
     simulate_mps,
 )
 from frogmodel.stats import ks_one_sample
@@ -29,8 +30,6 @@ def test_system_validation():
         SiteSystem((0, 1, 2), np.zeros((2, 2)))
     q = CHAIN3.q
     assert np.all(q.sum(axis=1) == 0)
-    assert CHAIN3.norm() == 4.0
-    assert CHAIN3.step_size() == 0.01
 
 
 def test_state_validation():
@@ -72,15 +71,14 @@ def test_apply_jump_examples():
 
 
 def test_next_jump_trivial_cases():
-    rng = np.random.default_rng(0)
-    # no awake mass anywhere: nothing ever flows
-    tau, k = next_jump(MPSState([0.0, 0.0], [0.0, 1.0]),
-                       SiteSystem.nearest_neighbor_chain((0, 1)), rng, horizon=5.0)
-    assert math.isinf(tau) and k is None
-    # no dormant site: nothing to wake
-    tau, k = next_jump(MPSState([1.0, 0.0], [0.0, 0.0]),
-                       SiteSystem.nearest_neighbor_chain((0, 1)), rng, horizon=5.0)
-    assert math.isinf(tau) and k is None
+    sys2 = SiteSystem.nearest_neighbor_chain((0, 1))
+    # no awake mass anywhere (nothing flows), or no dormant site (nothing to
+    # wake): no jump, and no draw is spent on one
+    for init in (MPSState([0.0, 0.0], [0.0, 1.0]), MPSState([1.0, 0.0], [0.0, 0.0])):
+        rng = np.random.default_rng(0)
+        res = simulate_mps(sys2, init, 5.0, rng)
+        assert res.events == () and res.final.time == 5.0
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_single_dormant_site_only_jump():
@@ -92,6 +90,30 @@ def test_single_dormant_site_only_jump():
     assert res.events[0].site == 2
     assert np.all(res.final.x2 == 0.0)
     assert abs(res.final.total_mass() - 2.0) <= 1e-8 * 2.0
+
+
+def test_single_dormant_jump_time_is_exact():
+    # one dormant pile: it wakes when its feed reaches expm1(E), where E is
+    # the run's first Exp(1) draw; the feed is the awake walk killed at site 2
+    gen = np.array(CHAIN3.q)
+    gen[2, :] = 0.0
+    init = MPSState([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    horizon = 50.0
+    jumped = 0
+    for s in range(40):
+        res = simulate_mps(CHAIN3, init, horizon, np.random.default_rng(s))
+        e = np.random.default_rng(s).exponential()
+        target = math.expm1(e)
+        if target >= (init.x1 @ expm(gen * horizon))[2]:
+            assert res.events == ()
+            continue
+        tau = brentq(lambda t: (init.x1 @ expm(gen * t))[2] - target, 0.0, horizon,
+                     xtol=1e-14, rtol=1e-15)
+        ev = res.events[0]
+        assert abs(ev.time - tau) <= 1e-9, (s, ev.time, tau)
+        assert abs(ev.pile - math.exp(e)) <= 1e-12 * math.exp(e), (s, ev.pile)
+        jumped += 1
+    assert jumped >= 10
 
 
 def test_single_dormant_jump_law_matches_threshold_law():
@@ -192,13 +214,17 @@ def test_snapshots_do_not_perturb_events():
 
 
 def test_starved_pile_jumps_immediately():
-    rng = np.random.default_rng(5)
     sys2 = SiteSystem.nearest_neighbor_chain((0, 1))
-    tau, k = next_jump(MPSState([1.0, 0.0], [0.0, 1e-16]), sys2, rng, horizon=10.0)
-    assert tau == 0.0 and k == 1
+    res = simulate_mps(sys2, MPSState([1.0, 0.0], [0.0, 1e-16]), 10.0,
+                       np.random.default_rng(5))
+    assert res.events[0].time == 0.0 and res.events[0].site == 1
 
 
 def test_simulate_horizon_validation():
     with pytest.raises(ValueError):
         simulate_mps(CHAIN3, MPSState([1.0, 0, 0], [0, 1.0, 0], time=2.0), 1.0,
                      np.random.default_rng(0))
+    # the first draw, E = 1.073, exceeds the total hazard log 2 of all time
+    with pytest.raises(ValueError):
+        simulate_mps(CHAIN3, MPSState([1.0, 0, 0], [0, 0, 1.0]), math.inf,
+                     np.random.default_rng(1))
